@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use pufatt_alupuf::challenge::Challenge;
 use pufatt_alupuf::device::{AluPufConfig, AluPufDesign, PufChip, PufInstance};
-use pufatt_bench::{full_scale, header};
+use pufatt_bench::{cores, cpu_model, full_scale, header};
 use pufatt_silicon::env::Environment;
 use pufatt_silicon::netlist::{GateKind, NetId};
 use pufatt_silicon::sim::EventSimulator;
@@ -59,9 +59,7 @@ fn main() {
     };
 
     let cpu_model = cpu_model();
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let cores = cores();
     header("PERF", "PUF evaluation throughput (paper_32bit, bit-sliced engine)");
     println!("  {n} challenges per configuration{}", if smoke { " (smoke mode)" } else { "" });
     println!("  host: {cpu_model}, {cores} core(s)");
@@ -353,20 +351,6 @@ fn baseline_gate_eval(kind: GateKind, a: bool, b: bool) -> bool {
         GateKind::Nor2 => !(a | b),
         GateKind::Xnor2 => !(a ^ b),
     }
-}
-
-/// Host CPU model for the bench artifact, so recorded numbers carry their
-/// hardware provenance (`/proc/cpuinfo` on Linux; "unknown" elsewhere).
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {

@@ -9,15 +9,23 @@
 //! The headline row holds ≥10 000 concurrent devices in flight — every
 //! device enrolled, holding an open attestation ticket, and pipelining
 //! its sessions — which exercises the per-shard dispatch pools, the
-//! bounded-queue backpressure (`Busy` + retry), and the graceful drain in
-//! one sweep.
+//! credit-based admission, and the graceful drain in one sweep.
+//!
+//! The run asserts the overload contract: the conforming load generator
+//! is never answered `Busy`, sessions/s falls by no more than 10% from one
+//! sweep point to the next, and session p99 stays within twice what
+//! Little's law gives for the devices in flight (in-flight ÷ sessions/s).
+//! The smoke workload checks only the `Busy` count: its points finish 32
+//! and 128 sessions in tens of milliseconds, too few for a p99 and too
+//! short for a throughput that is more than scheduler noise.
 //!
 //! Results are printed and written to `BENCH_transport.json` at the
-//! workspace root for CI artifact upload. `--test` (as passed by
+//! workspace root, with the host's CPU model and core count, for CI
+//! artifact upload. `--test` (as passed by
 //! `cargo test` to harness=false benches) or `PUFATT_SMOKE=1` selects a
 //! small workload.
 
-use pufatt_bench::{full_scale, header, timed};
+use pufatt_bench::{cores, cpu_model, full_scale, header, timed};
 use pufatt_fleet::campaign::small_test_config;
 use pufatt_transport::loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 use pufatt_transport::server::{Server, ServerConfig};
@@ -28,12 +36,22 @@ struct Sweep {
     window: usize,
 }
 
-fn run_sweep(sock_dir: &std::path::Path, sweep: &Sweep, sessions: u32) -> (LoadgenReport, u64) {
-    let concurrent = (sweep.connections * sweep.window) as u64;
-    // One live device per concurrent slot: the whole fleet is in flight
-    // at once, so "concurrent devices" is not just a window product.
-    let devices = concurrent as u32;
-    let campaign = small_test_config(devices as usize, 4, 0x10AD ^ concurrent);
+/// Runs per sweep point. The row is the run with the median sessions/s:
+/// a single run of the 0.1-s four-connection point read anywhere from
+/// 2.2 k to 5.6 k sessions/s on a shared 2-core host.
+const REPEATS: usize = 3;
+
+fn median_run(sock_dir: &std::path::Path, sweep: &Sweep, sessions: u32) -> LoadgenReport {
+    let mut runs: Vec<LoadgenReport> = (0..REPEATS).map(|_| run_sweep(sock_dir, sweep, sessions)).collect();
+    runs.sort_by(|a, b| a.sessions_per_s.total_cmp(&b.sessions_per_s));
+    runs.swap_remove(REPEATS / 2)
+}
+
+fn run_sweep(sock_dir: &std::path::Path, sweep: &Sweep, sessions: u32) -> LoadgenReport {
+    // One live device per window slot: the whole fleet is in flight at
+    // once, so "concurrent devices" is not just a window product.
+    let devices = (sweep.connections * sweep.window) as u32;
+    let campaign = small_test_config(devices as usize, 4, 0x10AD ^ u64::from(devices));
     let sock = sock_dir.join(format!("load-{}.sock", sweep.connections));
     let server = Server::start(
         &Endpoint::Uds(sock),
@@ -64,7 +82,7 @@ fn run_sweep(sock_dir: &std::path::Path, sweep: &Sweep, sessions: u32) -> (Loadg
     assert_eq!(report.devices_completed, u64::from(devices), "every device completes its schedule");
     assert_eq!(server_report.panicked_jobs, 0);
     assert_eq!(server_report.transport.sessions_aborted, 0, "clean loadgen run leaves no torn sessions");
-    (report, concurrent)
+    report
 }
 
 fn main() {
@@ -95,21 +113,29 @@ fn main() {
     let sock_dir = std::env::temp_dir().join(format!("pufatt-bench-transport-{}", std::process::id()));
     std::fs::create_dir_all(&sock_dir).expect("socket dir");
 
+    let (cpu_model, cores) = (cpu_model(), cores());
+    println!("  host: {cpu_model}, {cores} core(s)");
     let mut rows: Vec<String> = Vec::new();
-    let mut peak_concurrent = 0u64;
+    let mut results: Vec<LoadgenReport> = Vec::new();
     for sweep in &sweeps {
         let label = format!("{} conns x {} window", sweep.connections, sweep.window);
-        let (report, concurrent) = timed(&label, || run_sweep(&sock_dir, sweep, sessions));
-        peak_concurrent = peak_concurrent.max(concurrent);
+        let report = timed(&label, || median_run(&sock_dir, sweep, sessions));
         println!(
             "    {:>3} conns, {:>5} concurrent: {:>8.0} sessions/s, p50 {:>6} us, p99 {:>7} us ({} busy retries)",
-            sweep.connections, concurrent, report.sessions_per_s, report.p50_us, report.p99_us, report.busy_retries
+            sweep.connections,
+            report.in_flight,
+            report.sessions_per_s,
+            report.p50_us,
+            report.p99_us,
+            report.busy_retries
         );
-        rows.push(format!("    {}", report.json_object(&format!("uds_{}conns", sweep.connections), concurrent)));
+        rows.push(format!("    {}", report.json_object(&format!("uds_{}conns", sweep.connections))));
+        results.push(report);
     }
     std::fs::remove_dir_all(&sock_dir).ok();
 
     if !smoke {
+        let peak_concurrent = results.iter().map(|r| r.in_flight).max().unwrap_or(0);
         assert!(
             peak_concurrent >= 10_000,
             "headline sweep must hold >= 10000 concurrent devices, got {peak_concurrent}"
@@ -117,12 +143,52 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"transport_load\",\n  \"smoke\": {},\n  \"sessions_per_device\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        concat!(
+            "{{\n  \"bench\": \"transport_load\",\n  \"smoke\": {},\n",
+            "  \"cpu_model\": \"{}\",\n  \"cores\": {},\n",
+            "  \"sessions_per_device\": {},\n  \"rows\": [\n{}\n  ]\n}}\n"
+        ),
         smoke,
+        cpu_model.replace('"', "'"),
+        cores,
         sessions,
         rows.join(",\n")
     );
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_transport.json");
     std::fs::write(out_path, json).expect("write BENCH_transport.json");
     println!("  wrote {out_path}");
+    // Checked after the JSON is written, so a failing run still leaves
+    // its numbers behind.
+    for report in &results {
+        assert_eq!(report.busy_retries, 0, "{} in flight: a conforming load generator saw Busy", report.in_flight);
+    }
+    if !smoke {
+        check_no_collapse(&results);
+    }
+}
+
+/// The timing half of the overload contract: no throughput collapse as
+/// concurrency grows, and a p99 bounded by the devices in flight.
+fn check_no_collapse(results: &[LoadgenReport]) {
+    for report in results {
+        let little_us = report.in_flight as f64 / report.sessions_per_s * 1e6;
+        assert!(
+            report.p99_us as f64 <= 2.0 * little_us,
+            "{} in flight: p99 {} us exceeds 2 x in-flight / sessions/s = {:.0} us",
+            report.in_flight,
+            report.p99_us,
+            2.0 * little_us
+        );
+    }
+    for pair in results.windows(2) {
+        let (before, after) = (&pair[0], &pair[1]);
+        assert!(
+            after.sessions_per_s >= 0.9 * before.sessions_per_s,
+            "sessions/s fell from {:.0} to {:.0} between sweep points ({} -> {} in flight)",
+            before.sessions_per_s,
+            after.sessions_per_s,
+            before.in_flight,
+            after.in_flight
+        );
+    }
 }

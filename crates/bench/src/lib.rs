@@ -37,6 +37,25 @@ pub fn row(metric: &str, paper: &str, measured: &str) {
     println!("  {metric:<44} paper: {paper:>12}   measured: {measured:>12}");
 }
 
+/// Host CPU model for bench artifacts, so recorded numbers carry their
+/// hardware provenance (`/proc/cpuinfo` on Linux; "unknown" elsewhere).
+pub fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Cores available to this process, for bench artifacts.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Runs a closure and reports its wall time.
 pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
     let start = Instant::now();

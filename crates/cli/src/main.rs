@@ -86,7 +86,10 @@ commands:
                   --rate-limit <f64>         (default 0 = off; requests/s)
                   --rate-burst <n>           (default 64; token-bucket depth)
                   --dispatch-shards <n>      (default: all cores; worker pools)
-                  --queue-depth <n>          (default 64; per-pool backlog)
+                  --queue-depth <n>          (default 64; per-connection credit:
+                                              Enroll/Attest a connection may
+                                              have queued or running; each
+                                              pool queues max-conns x this)
                   --drain-grace-ms <n>       (default 5000; shutdown grace)
                   plus every fleet campaign flag (--devices, --seed, ...);
                   runs until a wire Shutdown arrives, then drains and

@@ -82,7 +82,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     }
     let t = &report.transport;
     println!(
-        "transport: {} conn(s) served, {} shed, {} request(s), {} busy (queue {}, rate {}), \
+        "transport: {} conn(s) served, {} shed, {} request(s), {} busy (queue {}, rate {}), {} over-credit, \
          {} malformed, {} frame error(s), {} idle timeout(s), {} aborted session(s), {} panicked job(s)",
         t.connections_served,
         t.connections_shed,
@@ -90,6 +90,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         t.busy_queue + t.busy_rate,
         t.busy_queue,
         t.busy_rate,
+        t.over_credit,
         t.malformed,
         t.frame_errors,
         t.idle_timeouts,
@@ -127,10 +128,9 @@ pub fn loadgen(argv: &[String]) -> Result<(), String> {
         write_timeout_ms: args.num_or("write-timeout-ms", defaults.write_timeout_ms)?,
         ..defaults
     };
-    let concurrent = (cfg.connections * cfg.window) as u64;
     println!(
-        "loadgen: {} device(s) x {} session(s) over {} connection(s), window {} ({} concurrent devices)",
-        cfg.devices, cfg.sessions_per_device, cfg.connections, cfg.window, concurrent
+        "loadgen: {} device(s) x {} session(s) over {} connection(s), window {} (capped at the server's credit)",
+        cfg.devices, cfg.sessions_per_device, cfg.connections, cfg.window
     );
     let report = run_loadgen(&cfg).map_err(|e| e.to_string())?;
     println!(
@@ -143,11 +143,11 @@ pub fn loadgen(argv: &[String]) -> Result<(), String> {
         report.busy_retries,
     );
     println!(
-        "wall {:.2} s, {:.0} sessions/s, latency p50 {} us / p90 {} us / p99 {} us / max {} us",
-        report.wall_s, report.sessions_per_s, report.p50_us, report.p90_us, report.p99_us, report.max_us
+        "{} concurrent device(s); wall {:.2} s, {:.0} sessions/s, latency p50 {} us / p90 {} us / p99 {} us / max {} us",
+        report.in_flight, report.wall_s, report.sessions_per_s, report.p50_us, report.p90_us, report.p99_us, report.max_us
     );
     if let Ok(json_path) = args.require("json") {
-        let row = report.json_object(args.get_or("label", "loadgen"), concurrent);
+        let row = report.json_object(args.get_or("label", "loadgen"));
         std::fs::write(json_path, format!("{row}\n")).map_err(|e| format!("write {json_path}: {e}"))?;
         println!("wrote {json_path}");
     }

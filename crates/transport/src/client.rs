@@ -7,7 +7,9 @@
 //! [`Client::send`]s before collecting with [`Client::recv`], and the
 //! correlation id (echoed by the server in every response) pairs answers
 //! with questions regardless of completion order — dispatched verdicts
-//! legitimately overtake inline errors on the wire.
+//! legitimately overtake inline errors on the wire. How many dispatched
+//! requests (`Enroll`/`Attest`) a caller may pipeline is the credit the
+//! server granted in its `HelloAck` ([`Client::credit`]).
 
 use crate::conn::{Endpoint, Stream};
 use crate::error::{ErrorCode, TransportError};
@@ -21,6 +23,9 @@ pub struct Client {
     read_timeout_ms: u64,
     write_timeout_ms: u64,
     next_corr: u32,
+    /// Dispatched requests the server lets this connection have queued or
+    /// running at once.
+    credit: u32,
     /// Replies that arrived while waiting for a different correlation id.
     pending: HashMap<u32, Response>,
     buf: Vec<u8>,
@@ -43,13 +48,17 @@ impl Client {
             read_timeout_ms,
             write_timeout_ms,
             next_corr: 0,
+            credit: 0,
             pending: HashMap::new(),
             buf: Vec::new(),
         };
         let corr = client.send(&hello())?;
         match client.recv(corr)? {
-            Response::HelloAck { version } if version == PROTOCOL_VERSION => Ok(client),
-            Response::HelloAck { version } => Err(TransportError::VersionMismatch { lo: version, hi: version }),
+            Response::HelloAck { version, credit } if version == PROTOCOL_VERSION => {
+                client.credit = credit;
+                Ok(client)
+            }
+            Response::HelloAck { version, .. } => Err(TransportError::VersionMismatch { lo: version, hi: version }),
             Response::Busy { retry_after_ms } => Err(TransportError::Server {
                 code: ErrorCode::RateLimited,
                 detail: format!("server at capacity, retry in {retry_after_ms} ms"),
@@ -57,6 +66,13 @@ impl Client {
             Response::Error { code, detail } => Err(TransportError::Server { code, detail }),
             other => Err(TransportError::Protocol(format!("unexpected handshake reply: {other:?}"))),
         }
+    }
+
+    /// The credit the server granted: how many `Enroll`/`Attest` requests
+    /// this connection may have awaiting their replies at once. Beyond it
+    /// the server answers `over-credit` instead of queueing.
+    pub fn credit(&self) -> u32 {
+        self.credit
     }
 
     /// Sends one request, returning its correlation id.
@@ -84,11 +100,14 @@ impl Client {
     /// Read timeouts, torn frames, undecodable responses, or a clean
     /// server close before the awaited reply.
     pub fn recv(&mut self, corr: u32) -> Result<Response, TransportError> {
+        if let Some(response) = self.pending.remove(&corr) {
+            return Ok(response);
+        }
         loop {
-            if let Some(response) = self.pending.remove(&corr) {
+            let (got_corr, response) = self.read_response()?;
+            if got_corr == corr {
                 return Ok(response);
             }
-            let (got_corr, response) = self.recv_any()?;
             self.pending.insert(got_corr, response);
         }
     }
@@ -104,6 +123,11 @@ impl Client {
                 return Ok((corr, response));
             }
         }
+        self.read_response()
+    }
+
+    /// Reads the next response off the socket.
+    fn read_response(&mut self) -> Result<(u32, Response), TransportError> {
         let mut payload = std::mem::take(&mut self.buf);
         let outcome = read_frame(&mut self.stream, &mut payload, self.read_timeout_ms);
         let decoded = match outcome {

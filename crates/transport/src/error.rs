@@ -45,6 +45,11 @@ pub enum ErrorCode {
     /// operator reopens the shard, can succeed — the server itself is
     /// healthy (distinct from [`ErrorCode::Internal`]).
     StorageUnavailable,
+    /// The connection already had its full credit (granted in
+    /// `HelloAck`) of dispatched requests queued or running; the request
+    /// was not admitted. Resending it after one of those replies arrives
+    /// succeeds — an `Attest` refused this way keeps its ticket open.
+    OverCredit,
 }
 
 impl ErrorCode {
@@ -61,6 +66,7 @@ impl ErrorCode {
             ErrorCode::Draining => 7,
             ErrorCode::Internal => 8,
             ErrorCode::StorageUnavailable => 9,
+            ErrorCode::OverCredit => 10,
         }
     }
 
@@ -81,6 +87,7 @@ impl ErrorCode {
             7 => ErrorCode::Draining,
             8 => ErrorCode::Internal,
             9 => ErrorCode::StorageUnavailable,
+            10 => ErrorCode::OverCredit,
             other => return Err(TransportError::Malformed(format!("unknown error code byte {other}"))),
         })
     }
@@ -99,6 +106,7 @@ impl fmt::Display for ErrorCode {
             ErrorCode::Draining => "draining",
             ErrorCode::Internal => "internal",
             ErrorCode::StorageUnavailable => "storage-unavailable",
+            ErrorCode::OverCredit => "over-credit",
         };
         f.write_str(name)
     }
@@ -212,9 +220,12 @@ mod tests {
             ErrorCode::Draining,
             ErrorCode::Internal,
             ErrorCode::StorageUnavailable,
+            ErrorCode::OverCredit,
         ] {
             assert_eq!(ErrorCode::from_byte(code.to_byte()).unwrap(), code);
         }
+        assert_eq!(ErrorCode::OverCredit.to_byte(), 10);
+        assert_eq!(ErrorCode::OverCredit.to_string(), "over-credit");
         assert!(ErrorCode::from_byte(200).is_err());
     }
 

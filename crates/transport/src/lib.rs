@@ -8,16 +8,16 @@
 //! * [`frame`] — length-prefixed, CRC-framed transport frames (the WAL's
 //!   `PUFATTW1` discipline pointed at a socket, with a hostile-input
 //!   length bound).
-//! * [`message`] — the versioned protocol: magic + version negotiation,
-//!   typed `Enroll` / `ChallengeRequest` / `Attest` / `Revoke` requests,
-//!   verdict / `Busy` / error responses. Decoding arbitrary bytes is
-//!   panic-free and never over-reads.
+//! * [`message`] — the versioned protocol: magic + version negotiation
+//!   with a per-connection credit, typed `Enroll` / `ChallengeRequest` /
+//!   `Attest` / `Revoke` requests, verdict / `Busy` / error responses.
+//!   Decoding arbitrary bytes is panic-free and never over-reads.
 //! * [`conn`] — endpoints, streams, and listeners over unix-domain
 //!   sockets (production) and loopback TCP (portability).
 //! * [`server`] — the multi-threaded attestation server: per-connection
-//!   framing threads, per-shard dispatch into bounded worker pools,
-//!   token-bucket rate limiting, `Busy` backpressure, idle timeouts, and
-//!   graceful drain with no lost in-flight sessions.
+//!   framing threads, credit-based admission into per-shard worker
+//!   pools, token-bucket rate limiting, idle timeouts, and graceful drain
+//!   with no lost in-flight sessions.
 //! * [`client`] — a blocking protocol client with correlation-id
 //!   matching and typed errors.
 //! * [`loadgen`] — the load generator: tens of thousands of simulated

@@ -5,9 +5,11 @@
 //! matches it and drives every one through the full protocol —
 //! `Enroll`, then `sessions_per_device` rounds of `ChallengeRequest` +
 //! `Attest` — keeping up to `window` devices in flight concurrently via
-//! correlation-id pipelining. Concurrency is therefore
-//! `connections × window` devices, which reaches tens of thousands
-//! without tens of thousands of sockets or threads.
+//! correlation-id pipelining. The window never exceeds the credit the
+//! server granted in its `HelloAck`, so the server always has queue room
+//! for every request the generator sends. Concurrency is therefore
+//! `connections × min(window, credit)` devices, which reaches tens of
+//! thousands without tens of thousands of sockets or threads.
 //!
 //! The generator follows the service's own semantics exactly, which is
 //! what makes its campaigns comparable to in-process runs:
@@ -16,8 +18,11 @@
 //!   sessions (the in-process campaign counts one refusal per scheduled
 //!   session of a revoked device);
 //! * an `Enroll` fault abandons the device without opening sessions;
-//! * `Busy` answers are retried after the server's hint — backpressure
-//!   is a pacing signal, not an error.
+//! * `Busy` answers (the server's rate limiter) are a pacing signal, not
+//!   an error: the request is parked until the server's hint has passed
+//!   and resent after the next reply arrives. The connection keeps
+//!   serving its other devices meanwhile; it sleeps only when every
+//!   in-window device is parked, and only until the earliest hint.
 //!
 //! Latency is sampled per *session* (send of its `ChallengeRequest` to
 //! receipt of its `Verdict`, busy-retry backoff included) — the
@@ -28,9 +33,9 @@ use crate::conn::Endpoint;
 use crate::error::{ErrorCode, TransportError};
 use crate::message::{Request, Response};
 use pufatt_fleet::registry::DeviceId;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What to drive and how hard.
 #[derive(Debug, Clone)]
@@ -43,7 +48,8 @@ pub struct LoadgenConfig {
     pub sessions_per_device: u32,
     /// Real connections to open.
     pub connections: usize,
-    /// Devices each connection keeps in flight concurrently.
+    /// Devices each connection keeps in flight concurrently (capped at
+    /// the credit the server grants).
     pub window: usize,
     /// Socket read timeout in ms (`0` = block forever).
     pub read_timeout_ms: u64,
@@ -146,10 +152,13 @@ pub struct LoadgenReport {
     pub sessions_unavailable: u64,
     /// Devices that stopped because their storage shard was unavailable.
     pub devices_unavailable: u64,
-    /// `Busy` answers absorbed (queue or rate backpressure).
+    /// `Busy` answers absorbed (rate limiter or a full server queue).
     pub busy_retries: u64,
     /// Real connections that completed their share.
     pub connections: u64,
+    /// Devices the connections kept in flight at once: the sum of their
+    /// windows after capping each at the server's credit.
+    pub in_flight: u64,
     /// Wall-clock seconds for the whole campaign.
     pub wall_s: f64,
     /// Completed sessions per wall-clock second.
@@ -171,7 +180,7 @@ pub struct LoadgenReport {
 
 impl LoadgenReport {
     /// Renders one JSON object (no trailing newline) for bench output.
-    pub fn json_object(&self, label: &str, concurrent_devices: u64) -> String {
+    pub fn json_object(&self, label: &str) -> String {
         format!(
             concat!(
                 "{{\"label\":\"{}\",\"connections\":{},\"concurrent_devices\":{},",
@@ -184,7 +193,7 @@ impl LoadgenReport {
             ),
             label,
             self.connections,
-            concurrent_devices,
+            self.in_flight,
             self.devices_completed,
             self.devices_errored,
             self.devices_unavailable,
@@ -228,6 +237,8 @@ struct ConnTally {
     sessions_unavailable: u64,
     enroll_faults: u64,
     busy_retries: u64,
+    /// This connection's window, capped at the server's credit.
+    window: u64,
     latencies_us: Vec<u64>,
     /// Whether the TCP connect + handshake succeeded (distinguishes a
     /// server that was never reachable from one that vanished mid-run).
@@ -315,6 +326,7 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<LoadgenReport, TransportError>
         enroll_faults: tally.enroll_faults,
         busy_retries: tally.busy_retries,
         connections: live_connections,
+        in_flight: tally.window,
         wall_s,
         sessions_per_s: if wall_s > 0.0 { tally.sessions_completed as f64 / wall_s } else { 0.0 },
         p50_us: pct(0.50),
@@ -335,6 +347,7 @@ fn merge(into: &mut ConnTally, from: ConnTally) {
     into.sessions_unavailable += from.sessions_unavailable;
     into.enroll_faults += from.enroll_faults;
     into.busy_retries += from.busy_retries;
+    into.window += from.window;
     into.latencies_us.extend(from.latencies_us);
     into.lost_devices.extend(from.lost_devices);
 }
@@ -343,72 +356,135 @@ fn merge(into: &mut ConnTally, from: ConnTally) {
 /// error the tally so far rides along with the error.
 #[allow(clippy::result_large_err)]
 fn drive_connection(cfg: &LoadgenConfig, conn_index: usize) -> Result<ConnTally, (ConnTally, TransportError)> {
-    let mut tally = ConnTally::default();
-    let mut client = match Client::connect(&cfg.endpoint, cfg.read_timeout_ms, cfg.write_timeout_ms) {
+    let connections = cfg.connections.max(1) as u32;
+    let client = match Client::connect(&cfg.endpoint, cfg.read_timeout_ms, cfg.write_timeout_ms) {
         Ok(client) => client,
         Err(e) => {
             // Never reached the server: the whole stride is unstarted.
-            strand(&mut tally, &HashMap::new(), conn_index as u32, cfg.devices, cfg.connections.max(1) as u32);
+            let mut tally = ConnTally::default();
+            strand(&mut tally, std::iter::empty(), conn_index as u32, cfg.devices, connections);
             return Err((tally, e));
         }
     };
-    tally.connected = true;
-    let connections = cfg.connections.max(1) as u32;
-    let mut next_device = conn_index as u32;
-    let window = cfg.window.max(1);
-    let mut inflight: HashMap<u32, InFlight> = HashMap::new();
-    loop {
-        // Fill the window with fresh devices.
-        while inflight.len() < window && next_device < cfg.devices {
-            let id = next_device;
-            next_device += connections;
-            let request = Request::Enroll { device: id };
-            match client.send(&request) {
-                Ok(corr) => {
-                    inflight.insert(
-                        corr,
-                        InFlight {
-                            id,
-                            remaining: cfg.sessions_per_device,
-                            request,
-                            session_started: None,
-                            busy_retries: 0,
-                        },
-                    );
-                }
-                Err(e) => {
-                    tally.devices_errored += 1;
-                    tally.lost_devices.push((id, LostPhase::Enrolling));
-                    strand(&mut tally, &inflight, next_device, cfg.devices, connections);
-                    return Err((tally, e));
-                }
+    let mut conn = ConnRun {
+        cfg,
+        client,
+        tally: ConnTally { connected: true, ..ConnTally::default() },
+        connections,
+        next_device: conn_index as u32,
+        inflight: HashMap::new(),
+        parked: BTreeMap::new(),
+        parked_seq: 0,
+    };
+    match conn.drive() {
+        Ok(()) => Ok(conn.tally),
+        Err(e) => {
+            let ConnRun { mut tally, inflight, parked, next_device, .. } = conn;
+            strand(&mut tally, inflight.values().chain(parked.values()), next_device, cfg.devices, connections);
+            Err((tally, e))
+        }
+    }
+}
+
+/// One connection's devices and what it has seen of them.
+struct ConnRun<'a> {
+    cfg: &'a LoadgenConfig,
+    client: Client,
+    tally: ConnTally,
+    /// This connection drives every `connections`-th device id.
+    connections: u32,
+    /// The next device of the stride to start.
+    next_device: u32,
+    /// Devices awaiting a reply, by correlation id.
+    inflight: HashMap<u32, InFlight>,
+    /// Devices answered `Busy`, by (resend deadline, tiebreak); they keep
+    /// their window slot while they wait.
+    parked: BTreeMap<(Instant, u64), InFlight>,
+    parked_seq: u64,
+}
+
+impl ConnRun<'_> {
+    fn drive(&mut self) -> Result<(), TransportError> {
+        let window = self.cfg.window.min(self.client.credit() as usize).max(1);
+        self.tally.window = window as u64;
+        loop {
+            // Resend every parked request whose backoff has passed.
+            let now = Instant::now();
+            while let Some(due) = self.parked.first_entry().filter(|e| e.key().0 <= now).map(|e| e.remove()) {
+                self.send(due)?;
+            }
+            // Fill the window with fresh devices.
+            while self.inflight.len() + self.parked.len() < window && self.next_device < self.cfg.devices {
+                let id = self.next_device;
+                self.next_device += self.connections;
+                self.send(InFlight {
+                    id,
+                    remaining: self.cfg.sessions_per_device,
+                    request: Request::Enroll { device: id },
+                    session_started: None,
+                    busy_retries: 0,
+                })?;
+            }
+            if self.inflight.is_empty() {
+                // No reply can arrive: wait out the earliest backoff.
+                let Some((&(due, _), _)) = self.parked.first_key_value() else {
+                    return Ok(());
+                };
+                std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                continue;
+            }
+            let (corr, response) = self.client.recv_any()?;
+            let Some(mut entry) = self.inflight.remove(&corr) else {
+                continue; // stale reply for a device we already gave up on
+            };
+            if let Response::Busy { retry_after_ms } = response {
+                self.park(entry, retry_after_ms);
+                continue;
+            }
+            entry.busy_retries = 0;
+            if let Some(request) = self.advance(&mut entry, response) {
+                entry.request = request;
+                self.send(entry)?;
             }
         }
-        if inflight.is_empty() {
-            return Ok(tally);
-        }
-        let (corr, response) = match client.recv_any() {
-            Ok(pair) => pair,
+    }
+
+    /// Sends `entry`'s request and tracks it under its correlation id. A
+    /// device whose send fails is counted as stranded in the phase its
+    /// request names.
+    fn send(&mut self, entry: InFlight) -> Result<(), TransportError> {
+        match self.client.send(&entry.request) {
+            Ok(corr) => {
+                self.inflight.insert(corr, entry);
+                Ok(())
+            }
             Err(e) => {
-                strand(&mut tally, &inflight, next_device, cfg.devices, connections);
-                return Err((tally, e));
+                self.tally.devices_errored += 1;
+                self.tally.lost_devices.push((entry.id, phase_of(&entry.request)));
+                Err(e)
             }
-        };
-        let Some(mut entry) = inflight.remove(&corr) else {
-            continue; // stale reply for a device we already gave up on
-        };
-        let was_busy = matches!(response, Response::Busy { .. });
-        let next = match response {
-            Response::Busy { retry_after_ms } => {
-                entry.busy_retries += 1;
-                tally.busy_retries += 1;
-                if entry.busy_retries > cfg.max_busy_retries {
-                    tally.devices_errored += 1;
-                    continue;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(u64::from(retry_after_ms.max(1))));
-                Some(entry.request.clone())
-            }
+        }
+    }
+
+    /// Parks a device answered `Busy` until the server's hint has passed;
+    /// one busy too many errors the device out.
+    fn park(&mut self, mut entry: InFlight, retry_after_ms: u32) {
+        entry.busy_retries += 1;
+        self.tally.busy_retries += 1;
+        if entry.busy_retries > self.cfg.max_busy_retries {
+            self.tally.devices_errored += 1;
+            return;
+        }
+        let due = Instant::now() + Duration::from_millis(u64::from(retry_after_ms.max(1)));
+        self.parked_seq += 1;
+        self.parked.insert((due, self.parked_seq), entry);
+    }
+
+    /// Books a final reply to `entry`'s request and returns the device's
+    /// next request, or `None` when the device is done.
+    fn advance(&mut self, entry: &mut InFlight, response: Response) -> Option<Request> {
+        let tally = &mut self.tally;
+        match response {
             Response::EnrollOk { .. } => {
                 if entry.remaining == 0 {
                     tally.devices_completed += 1;
@@ -467,29 +543,13 @@ fn drive_connection(cfg: &LoadgenConfig, conn_index: usize) -> Result<ConnTally,
                 None
             }
             Response::Error { .. }
+            | Response::Busy { .. }
             | Response::HelloAck { .. }
             | Response::RevokeOk { .. }
             | Response::StatsReply(_)
             | Response::ShutdownAck => {
                 tally.devices_errored += 1;
                 None
-            }
-        };
-        if let Some(request) = next {
-            if !was_busy {
-                entry.busy_retries = 0;
-            }
-            match client.send(&request) {
-                Ok(new_corr) => {
-                    entry.request = request;
-                    inflight.insert(new_corr, entry);
-                }
-                Err(e) => {
-                    tally.devices_errored += 1;
-                    tally.lost_devices.push((entry.id, phase_of(&request)));
-                    strand(&mut tally, &inflight, next_device, cfg.devices, connections);
-                    return Err((tally, e));
-                }
             }
         }
     }
@@ -506,23 +566,26 @@ fn phase_of(request: &Request) -> LostPhase {
 }
 
 /// Records every device this connection strands when it dies: the
-/// in-flight ones (with the phase their outstanding request names) plus
-/// the unstarted remainder of its stride, all counted as errored.
-fn strand(tally: &mut ConnTally, inflight: &HashMap<u32, InFlight>, next_device: u32, devices: u32, connections: u32) {
-    for entry in inflight.values() {
+/// in-flight and parked ones (with the phase their outstanding request
+/// names) plus the unstarted remainder of its stride, all counted as
+/// errored.
+fn strand<'a>(
+    tally: &mut ConnTally,
+    stranded: impl Iterator<Item = &'a InFlight>,
+    next_device: u32,
+    devices: u32,
+    connections: u32,
+) {
+    for entry in stranded {
         tally.lost_devices.push((entry.id, phase_of(&entry.request)));
+        tally.devices_errored += 1;
     }
     let mut id = next_device;
     while id < devices {
         tally.lost_devices.push((id, LostPhase::Unstarted));
+        tally.devices_errored += 1;
         id += connections;
     }
-    let unstarted = u64::from(if next_device < devices {
-        (devices - next_device).div_ceil(connections)
-    } else {
-        0
-    });
-    tally.devices_errored += inflight.len() as u64 + unstarted;
 }
 
 #[cfg(test)]
@@ -553,7 +616,7 @@ mod tests {
                         return;
                     };
                     let mut out = Vec::new();
-                    Response::HelloAck { version }.encode(corr, &mut out);
+                    Response::HelloAck { version, credit: 4 }.encode(corr, &mut out);
                     let _ = write_frame(&mut stream, &out, 5_000);
                     // Swallow the first real request, then drop the socket.
                     let _ = read_frame(&mut stream, &mut payload, 5_000);

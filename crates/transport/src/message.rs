@@ -10,7 +10,10 @@
 //! client states the protocol magic and the version range it speaks, the
 //! server picks the highest version both sides share (or refuses with a
 //! `VersionMismatch` error). Nothing else is accepted before the
-//! handshake.
+//! handshake. The `HelloAck` also grants the connection its *credit*: how
+//! many dispatched requests (`Enroll`/`Attest`) it may have queued or
+//! running at once. A client that keeps within its credit never meets a
+//! full server queue; a request beyond it is refused with `over-credit`.
 //!
 //! **Secrecy rule** (same as the store's): messages carry *public*
 //! protocol facts only — device ids, tickets, verdict booleans, lifecycle
@@ -24,8 +27,10 @@ use pufatt_fleet::{DeviceId, FleetStatus};
 /// Identifies the protocol family (first field of `Hello`).
 pub const PROTOCOL_MAGIC: [u8; 8] = *b"PUFATTN1";
 
-/// The one protocol version this build speaks.
-pub const PROTOCOL_VERSION: u16 = 1;
+/// The one protocol version this build speaks. Version 2 added the
+/// credit to `HelloAck`; a version-1 peer is refused with
+/// `VersionMismatch`.
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Longest `detail` string an `Error` response may carry.
 pub const MAX_DETAIL_LEN: usize = 512;
@@ -169,6 +174,9 @@ pub enum Response {
     HelloAck {
         /// The version both sides will speak.
         version: u16,
+        /// Dispatched requests (`Enroll`/`Attest`) this connection may
+        /// have queued or running at once.
+        credit: u32,
     },
     /// The device is enrolled and provisioned.
     EnrollOk {
@@ -218,8 +226,10 @@ pub enum Response {
     StatsReply(WireStats),
     /// The server accepted the shutdown request and is draining.
     ShutdownAck,
-    /// The server is saturated (full dispatch queue or rate limit); try
-    /// the same request again after the hint.
+    /// The server shed the request (rate limit, a connection over
+    /// `max_connections` at accept, or a dispatch queue still full of a
+    /// closed connection's jobs); try the same request again after the
+    /// hint.
     Busy {
         /// Suggested client-side backoff in milliseconds.
         retry_after_ms: u32,
@@ -405,9 +415,10 @@ impl Response {
         let mut w = Writer(out);
         w.u32(corr);
         match self {
-            Response::HelloAck { version } => {
+            Response::HelloAck { version, credit } => {
                 w.u8(0);
                 w.u16(*version);
+                w.u32(*credit);
             }
             Response::EnrollOk { device, fresh, status } => {
                 w.u8(1);
@@ -488,7 +499,7 @@ impl Response {
         let mut r = Reader::new(payload);
         let corr = r.u32()?;
         let response = match r.u8()? {
-            0 => Response::HelloAck { version: r.u16()? },
+            0 => Response::HelloAck { version: r.u16()?, credit: r.u32()? },
             1 => Response::EnrollOk {
                 device: r.u32()?,
                 fresh: r.flag()?,
@@ -589,7 +600,7 @@ mod tests {
     #[test]
     fn every_response_roundtrips() {
         let responses = [
-            Response::HelloAck { version: 1 },
+            Response::HelloAck { version: PROTOCOL_VERSION, credit: 64 },
             Response::EnrollOk { device: 9, fresh: true, status: WireStatus::Active },
             Response::Challenge { device: 9, ticket: 42 },
             Response::Verdict {
@@ -631,11 +642,12 @@ mod tests {
 
     #[test]
     fn negotiation_accepts_overlap_and_refuses_the_rest() {
-        assert_eq!(negotiate(PROTOCOL_MAGIC, 1, 1).unwrap(), 1);
+        assert_eq!(negotiate(PROTOCOL_MAGIC, 2, 2).unwrap(), 2);
         assert_eq!(negotiate(PROTOCOL_MAGIC, 1, 9).unwrap(), PROTOCOL_VERSION);
-        assert!(matches!(negotiate(PROTOCOL_MAGIC, 2, 9), Err(TransportError::VersionMismatch { lo: 2, hi: 9 })));
+        assert!(matches!(negotiate(PROTOCOL_MAGIC, 1, 1), Err(TransportError::VersionMismatch { lo: 1, hi: 1 })));
+        assert!(matches!(negotiate(PROTOCOL_MAGIC, 3, 9), Err(TransportError::VersionMismatch { lo: 3, hi: 9 })));
         assert!(matches!(negotiate(PROTOCOL_MAGIC, 3, 2), Err(TransportError::VersionMismatch { .. })));
-        assert!(matches!(negotiate(*b"PUFATTW1", 1, 1), Err(TransportError::Malformed(_))));
+        assert!(matches!(negotiate(*b"PUFATTW1", 2, 2), Err(TransportError::Malformed(_))));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //!                   └─▶ …        (≤ max_conns)    │   Revoke, Stats
 //!                                                 └─▶ dispatch: Enroll,
 //!                                                     Attest
+//!                                                        │ credit check,
 //!                                                        │ try_submit
 //!                                                        ▼
 //!                                  shard pools (1 worker each, bounded
@@ -16,11 +17,20 @@
 //!                                  the connection's shared writer
 //! ```
 //!
-//! * **Backpressure, not backlog.** Every queue is bounded: the acceptor
-//!   sheds connections over `max_connections` with a `Busy` frame, the
-//!   per-shard dispatch queues shed requests with `Busy` when full
-//!   ([`WorkerPool::try_submit`]), and an optional per-connection token
-//!   bucket sheds request floods the same way. Nothing grows with load.
+//! * **Credit, not backlog.** The `HelloAck` grants every connection a
+//!   credit of `queue_depth` dispatched requests (`Enroll`/`Attest`)
+//!   queued or running at once. Each dispatch pool queues up to
+//!   `max_connections × queue_depth` jobs, so a client that keeps within
+//!   its credit never meets a full queue and never has to back off; a
+//!   request beyond the credit is refused inline with the typed
+//!   `over-credit` error. A job returns its credit *before* its reply is
+//!   written, so a client that sends again on receipt is always within
+//!   credit. `Busy` remains only where waiting is the answer: the
+//!   acceptor sheds connections over `max_connections`, the optional
+//!   per-connection token bucket sheds request floods, and a full pool
+//!   queue ([`WorkerPool::try_submit`]) — reachable only while a closed
+//!   connection's jobs still sit in it — sheds the request. Nothing
+//!   grows with load.
 //! * **Per-device order.** Device `id`'s heavy work always lands on pool
 //!   `service.shard_of(id) % pools`, each pool has exactly one worker, so
 //!   one device's enroll/attest jobs run in submission order even while
@@ -43,7 +53,7 @@
 use crate::conn::{Endpoint, Listener, Stream};
 use crate::error::{ErrorCode, TransportError};
 use crate::frame::{read_frame, write_frame};
-use crate::message::{negotiate, Request, Response, WireStats};
+use crate::message::{negotiate, Request, Response, WireStats, PROTOCOL_VERSION};
 use pufatt::PufattError;
 use pufatt_fleet::campaign::CampaignConfig;
 use pufatt_fleet::pool::SubmitError;
@@ -52,7 +62,7 @@ use pufatt_fleet::service::{EnrollOutcome, ServiceVerdict, SessionGate};
 use pufatt_fleet::sync::{lock, lock_ranked, rank};
 use pufatt_fleet::{DeviceRecord, FleetService, FleetSnapshot, WorkerPool};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -62,6 +72,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Connections beyond this are shed at accept with a `Busy` frame.
+    /// Also sizes the dispatch queues (see `queue_depth`).
     pub max_connections: usize,
     /// Per-connection read timeout in ms (idle clients are disconnected);
     /// `0` blocks forever.
@@ -75,9 +86,14 @@ pub struct ServerConfig {
     pub rate_burst: u32,
     /// Dispatch pools (one single-worker pool per dispatch shard).
     pub dispatch_shards: usize,
-    /// Pending jobs each dispatch pool queues before shedding `Busy`.
+    /// Per-connection credit, granted in `HelloAck`: dispatched requests
+    /// (`Enroll`/`Attest`) one connection may have queued or running at
+    /// once (`0` counts as 1). Each dispatch pool queues up to
+    /// `max_connections × queue_depth` jobs, so connections within their
+    /// credit never meet a full queue.
     pub queue_depth: usize,
-    /// Backoff hint carried in `Busy` replies, in ms.
+    /// Backoff hint carried in `Busy` replies (rate limit, accept-time
+    /// shed), in ms.
     pub busy_retry_ms: u32,
     /// How long [`Server::finish`] waits for connections to close before
     /// force-shutting their sockets.
@@ -109,10 +125,14 @@ pub struct TransportStats {
     pub connections_shed: u64,
     /// Requests decoded and handled.
     pub requests: u64,
-    /// `Busy` replies from full dispatch queues.
+    /// `Busy` replies from full dispatch queues (only while a closed
+    /// connection's jobs still fill a queue).
     pub busy_queue: u64,
     /// `Busy` replies from the per-connection rate limiter.
     pub busy_rate: u64,
+    /// `over-credit` refusals: dispatched requests beyond the
+    /// connection's credit.
+    pub over_credit: u64,
     /// Frames that decoded but whose payload was malformed.
     pub malformed: u64,
     /// Connections dropped on frame-level damage.
@@ -134,6 +154,7 @@ struct Counters {
     requests: AtomicU64,
     busy_queue: AtomicU64,
     busy_rate: AtomicU64,
+    over_credit: AtomicU64,
     malformed: AtomicU64,
     frame_errors: AtomicU64,
     idle_timeouts: AtomicU64,
@@ -154,6 +175,7 @@ impl Counters {
             requests: self.requests.load(Ordering::Relaxed),
             busy_queue: self.busy_queue.load(Ordering::Relaxed),
             busy_rate: self.busy_rate.load(Ordering::Relaxed),
+            over_credit: self.over_credit.load(Ordering::Relaxed),
             malformed: self.malformed.load(Ordering::Relaxed),
             frame_errors: self.frame_errors.load(Ordering::Relaxed),
             idle_timeouts: self.idle_timeouts.load(Ordering::Relaxed),
@@ -183,9 +205,24 @@ struct ConnWriter {
     stream: Mutex<Stream>,
     write_timeout_ms: u64,
     counters: Arc<Counters>,
+    /// The connection's credit in use: its dispatched requests queued or
+    /// running. Only the handler thread adds to it; jobs take it back. A
+    /// job's release decrement precedes its reply write, and the
+    /// handler's acquire load follows its read of the client's next
+    /// request, so a request sent on receipt of a reply finds that
+    /// reply's credit returned.
+    inflight: AtomicUsize,
 }
 
 impl ConnWriter {
+    /// Answers a dispatched request, returning its credit *before* the
+    /// reply is written: a client that sends again on receipt must find
+    /// the credit free.
+    fn send_dispatched(&self, corr: u32, response: &Response) {
+        self.inflight.fetch_sub(1, Ordering::AcqRel);
+        self.send(corr, response);
+    }
+
     fn send(&self, corr: u32, response: &Response) {
         let mut payload = Vec::new();
         response.encode(corr, &mut payload);
@@ -226,6 +263,11 @@ struct Shared {
 impl Shared {
     fn pool_for(&self, id: DeviceId) -> &WorkerPool {
         &self.pools[self.service.shard_of(id) % self.pools.len()]
+    }
+
+    /// The per-connection credit `HelloAck` grants.
+    fn credit(&self) -> usize {
+        self.cfg.queue_depth.clamp(1, u32::MAX as usize)
     }
 }
 
@@ -304,11 +346,11 @@ impl Server {
         cfg: ServerConfig,
     ) -> Result<Self, TransportError> {
         let listener = Listener::bind(endpoint)?;
-        listener.set_nonblocking(true)?;
         let endpoint = listener.local_endpoint();
-        let pools = (0..cfg.dispatch_shards.max(1))
-            .map(|_| WorkerPool::new(1, cfg.queue_depth.max(1)))
-            .collect();
+        // Room for every connection's full credit: conforming clients
+        // never find a queue full.
+        let queue = cfg.max_connections.max(1).saturating_mul(cfg.queue_depth.max(1));
+        let pools = (0..cfg.dispatch_shards.max(1)).map(|_| WorkerPool::new(1, queue)).collect();
         let shared = Arc::new(Shared {
             service,
             cfg,
@@ -364,6 +406,9 @@ impl Server {
     pub fn finish(mut self) -> ServerReport {
         self.initiate_drain();
         if let Some(handle) = self.acceptor.take() {
+            // The acceptor blocks in `accept`: a throwaway connection wakes
+            // it to see the drain flag, and it exits, closing the listener.
+            let _ = Stream::connect(&self.endpoint);
             let _ = handle.join();
         }
         // Phase 1: let connections finish politely.
@@ -429,13 +474,18 @@ impl Server {
 
 fn accept_loop(listener: &Listener, shared: &Arc<Shared>) {
     let mut next_conn_id = 0u64;
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.draining.load(Ordering::SeqCst) {
+            return; // a connection accepted once the drain began is closed unserved
+        }
+        match accepted {
             Ok(Some(stream)) => {
                 next_conn_id += 1;
                 admit_connection(shared, stream, next_conn_id);
             }
-            Ok(None) => std::thread::sleep(Duration::from_millis(2)),
+            Ok(None) => {} // interrupted
+            // Out of descriptors or similar: back off rather than spin.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -494,6 +544,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: Stream, _conn_id: u64) {
             stream: Mutex::new(clone),
             write_timeout_ms: cfg.write_timeout_ms,
             counters: Arc::clone(counters),
+            inflight: AtomicUsize::new(0),
         }),
         Err(_) => return,
     };
@@ -513,13 +564,16 @@ fn handle_connection(shared: &Arc<Shared>, stream: Stream, _conn_id: u64) {
     match Request::decode(&payload) {
         Ok((corr, Request::Hello { magic, min_version, max_version })) => {
             match negotiate(magic, min_version, max_version) {
-                Ok(version) => writer.send(corr, &Response::HelloAck { version }),
+                Ok(version) => writer.send(corr, &Response::HelloAck { version, credit: shared.credit() as u32 }),
                 Err(e) => {
-                    let code = match e {
-                        TransportError::VersionMismatch { .. } => ErrorCode::VersionMismatch,
-                        _ => ErrorCode::Malformed,
+                    let (code, detail) = match e {
+                        TransportError::VersionMismatch { .. } => (
+                            ErrorCode::VersionMismatch,
+                            format!("{e}; this server speaks {PROTOCOL_VERSION}..={PROTOCOL_VERSION}"),
+                        ),
+                        _ => (ErrorCode::Malformed, e.to_string()),
                     };
-                    writer.send(corr, &Response::Error { code, detail: e.to_string() });
+                    writer.send(corr, &Response::Error { code, detail });
                     Counters::bump(&counters.malformed);
                     return;
                 }
@@ -619,11 +673,10 @@ fn handle_request(
                         detail: error_detail(&e),
                     },
                 };
-                writer_job.send(corr, &response);
+                writer_job.send_dispatched(corr, &response);
             };
-            if shared.pool_for(device).try_submit(job) == Err(SubmitError::QueueFull) {
-                Counters::bump(&counters.busy_queue);
-                writer.send(corr, &Response::Busy { retry_after_ms: shared.cfg.busy_retry_ms });
+            if let Some(refusal) = dispatch(shared, writer, device, job) {
+                writer.send(corr, &refusal);
             }
         }
         Request::ChallengeRequest { device } => {
@@ -732,13 +785,12 @@ fn handle_request(
                     },
                 };
                 lock_ranked(&tickets_job, rank::TICKET_TABLE).remove(&device);
-                writer_job.send(corr, &response);
+                writer_job.send_dispatched(corr, &response);
             };
-            if shared.pool_for(device).try_submit(job) == Err(SubmitError::QueueFull) {
+            if let Some(refusal) = dispatch(shared, writer, device, job) {
                 // Reopen the ticket so the client can retry the Attest.
                 lock_ranked(tickets, rank::TICKET_TABLE).insert(device, (ticket, TicketState::Open));
-                Counters::bump(&counters.busy_queue);
-                writer.send(corr, &Response::Busy { retry_after_ms: shared.cfg.busy_retry_ms });
+                writer.send(corr, &refusal);
             }
         }
         Request::Revoke { device } => match service.revoke(device) {
@@ -793,6 +845,35 @@ fn handle_request(
             writer.send(corr, &Response::ShutdownAck);
         }
     }
+}
+
+/// Admits a dispatched request against the connection's credit and queues
+/// its `job` on `device`'s pool. A refused request leaves the credit
+/// untouched and returns the reply to send: `over-credit` beyond the
+/// credit, `Busy` when the pool queue is full.
+fn dispatch(
+    shared: &Shared,
+    writer: &ConnWriter,
+    device: DeviceId,
+    job: impl FnOnce() + Send + 'static,
+) -> Option<Response> {
+    let credit = shared.credit();
+    // Only this connection's handler thread adds to `inflight`, so the
+    // check cannot race past the credit; jobs only lower it.
+    if writer.inflight.load(Ordering::Acquire) >= credit {
+        Counters::bump(&shared.counters.over_credit);
+        return Some(Response::Error {
+            code: ErrorCode::OverCredit,
+            detail: format!("connection already has its credit of {credit} dispatched request(s) in flight"),
+        });
+    }
+    writer.inflight.fetch_add(1, Ordering::AcqRel);
+    if shared.pool_for(device).try_submit(job) == Err(SubmitError::QueueFull) {
+        writer.inflight.fetch_sub(1, Ordering::AcqRel);
+        Counters::bump(&shared.counters.busy_queue);
+        return Some(Response::Busy { retry_after_ms: shared.cfg.busy_retry_ms });
+    }
+    None
 }
 
 /// Renders a service error for the wire — the Display impls carry public

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use pufatt_transport::error::{ErrorCode, TransportError};
 use pufatt_transport::frame::{decode_frame, encode_frame, read_frame, FRAME_HEADER, MAX_FRAME_LEN};
-use pufatt_transport::message::{Request, Response, WireStats, WireStatus, PROTOCOL_MAGIC};
+use pufatt_transport::message::{Request, Response, WireStats, WireStatus, PROTOCOL_MAGIC, PROTOCOL_VERSION};
 
 // ------------------------------------------------------------ strategies
 
@@ -41,6 +41,7 @@ fn any_code() -> impl Strategy<Value = ErrorCode> + Clone {
         ErrorCode::Draining,
         ErrorCode::Internal,
         ErrorCode::StorageUnavailable,
+        ErrorCode::OverCredit,
     ])
 }
 
@@ -86,7 +87,7 @@ fn any_stats() -> impl Strategy<Value = WireStats> + Clone {
 
 fn any_response() -> impl Strategy<Value = Response> + Clone {
     prop_oneof![
-        any::<u16>().prop_map(|version| Response::HelloAck { version }),
+        (any::<u16>(), any::<u32>()).prop_map(|(version, credit)| Response::HelloAck { version, credit }),
         (any::<u32>(), any::<bool>(), any_status()).prop_map(|(device, fresh, status)| Response::EnrollOk {
             device,
             fresh,
@@ -253,7 +254,12 @@ proptest! {
 fn malformed_corpus_is_typed_and_panic_free() {
     let valid = {
         let mut payload = Vec::new();
-        Request::Hello { magic: PROTOCOL_MAGIC, min_version: 1, max_version: 1 }.encode(0, &mut payload);
+        Request::Hello {
+            magic: PROTOCOL_MAGIC,
+            min_version: PROTOCOL_VERSION,
+            max_version: PROTOCOL_VERSION,
+        }
+        .encode(0, &mut payload);
         let mut wire = Vec::new();
         encode_frame(&payload, &mut wire);
         wire
@@ -318,6 +324,24 @@ fn malformed_corpus_is_typed_and_panic_free() {
     forged.extend_from_slice(&u16::MAX.to_le_bytes()); // detail "length"
     forged.extend_from_slice(b"tiny");
     assert!(matches!(Response::decode(&forged), Err(TransportError::Malformed(_))));
+
+    // HelloAck carries the connection's credit after the version: the
+    // exact layout is pinned, and a version-1 HelloAck (version only) is
+    // a truncated message, not a zero credit.
+    let mut ack = Vec::new();
+    Response::HelloAck { version: PROTOCOL_VERSION, credit: 0x0102_0304 }.encode(5, &mut ack);
+    assert_eq!(ack, [5, 0, 0, 0, 0, 2, 0, 4, 3, 2, 1]);
+    assert!(matches!(Response::decode(&ack[..7]), Err(TransportError::Malformed(_))));
+    // Error code 10 is `over-credit`; the next byte is still unknown.
+    let mut refusal = Vec::new();
+    Response::Error { code: ErrorCode::OverCredit, detail: String::new() }.encode(0, &mut refusal);
+    assert_eq!(refusal[5], 10);
+    assert_eq!(
+        Response::decode(&refusal).unwrap().1,
+        Response::Error { code: ErrorCode::OverCredit, detail: String::new() }
+    );
+    refusal[5] = 11;
+    assert!(matches!(Response::decode(&refusal), Err(TransportError::Malformed(_))));
 }
 
 /// An all-zero header IS a valid empty frame (CRC-32 of nothing is 0) —
